@@ -32,6 +32,7 @@
 #include "ops/ewise_add.hpp"
 #include "ops/spgemm.hpp"
 #include "ops/transpose.hpp"
+#include "prof/prof.hpp"
 
 namespace {
 

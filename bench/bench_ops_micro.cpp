@@ -201,11 +201,11 @@ std::vector<SpGemmConfig> spgemm_ladder() {
 /// Times C = A * A for every ladder rung, appends one JSON input record, and
 /// returns full-pipeline speedup over the pre-PR baseline rung. The "ms"
 /// field stays the minimum (the trajectory metric tracked across PRs); the
-/// "time" object adds the dispersion and, when the library was built with
-/// SPBLA_PROFILE=counters|trace, each rung carries a "counters" object from
-/// one instrumented (untimed) multiplication — nnz, bin occupancy, hash
-/// probe/collision rates and pool steals per rung, so the ladder attributes
-/// not just time but also the mechanism-level effects.
+/// "time" object adds the dispersion, and each rung carries a "counters"
+/// object: the telemetry counters one extra (untimed) multiplication moved —
+/// pool launches and tickets, tracked allocations, arena resets and buffer
+/// pool hits — so the ladder attributes not just time but also the
+/// mechanism-level effects.
 double write_spgemm_record(bench::JsonWriter& w, const char* name,
                            const CsrMatrix& a) {
     const auto configs = spgemm_ladder();
@@ -225,11 +225,9 @@ double write_spgemm_record(bench::JsonWriter& w, const char* name,
         w.field("name", configs[i].name);
         w.field("ms", ms);
         w.field("time", stats);
-        if (prof::counting()) {
-            prof::reset();
-            (void)ops::multiply(ctx(), a, a, configs[i].opts);
-            bench::write_prof_counters(w);
-        }
+        const auto before = telemetry::snapshot();
+        (void)ops::multiply(ctx(), a, a, configs[i].opts);
+        bench::write_counter_deltas(w, "counters", before, telemetry::snapshot());
         w.end_object();
     }
     w.end_array();
@@ -330,7 +328,7 @@ struct FormatOp {
 /// worst one — i.e. the cost model earns its keep over any fixed format.
 /// All representations are materialised before timing, so the ladder
 /// measures routing quality, not one-off conversion noise; the conversion
-/// and cache-hit counters are reported separately from an instrumented pass.
+/// and cache-hit counters are reported separately from a cold-cache replay.
 void write_formats_trajectory() {
     const char* path = std::getenv("SPBLA_BENCH_FORMATS_JSON");
     if (path == nullptr) path = "BENCH_formats.json";
@@ -444,8 +442,7 @@ void write_formats_trajectory() {
     // SpGEMM on uniform inputs at and above the 1/64 dense-bin threshold —
     // the regime the 64x64 tile format was built for. The tracked claim:
     // the bit tier wins by >= 4x geomean here. ewise_mult rides along so the
-    // instrumented replay exercises the AND counter (bitblock_words_anded),
-    // not just the multiply's OR paths.
+    // AND kernel is timed (and traced) too, not just the multiply's OR paths.
     struct Rung {
         const char* name;
         Index n;
@@ -505,20 +502,18 @@ void write_formats_trajectory() {
     w.field("dispatch_bitblock",
             s.dispatch_bitblock.load(std::memory_order_relaxed));
     w.end_object();
-    if (prof::counting()) {
-        // Replay once with cold caches so the exported trace carries the
-        // whole counter story: conversions while the secondary reps rebuild,
-        // cache hits when the next op reuses them, and one pick per dispatch.
-        // No prof::reset() here — the spgemm ladder's final counters must
-        // survive into the exit trace dump alongside the dispatch counters,
-        // so the snapshot below also includes them; the storage::Stats
-        // "counters" object above is the dispatch-only tally.
+    // Replay once with cold caches and record what telemetry counted:
+    // conversions while the secondary reps rebuild, cache hits when the next
+    // op reuses them, and one pick per dispatch.
+    {
+        const auto before = telemetry::snapshot();
         for (auto& input : inputs) {
             input.a.drop_cached();
             input.b.drop_cached();
             for (const auto& op : ops) op.run(input.a, input.b);
         }
-        bench::write_prof_counters(w, "prof_counters");
+        bench::write_counter_deltas(w, "cold_replay_counters", before,
+                                    telemetry::snapshot());
     }
     const double geo_best =
         n_records > 0 ? std::exp(log_vs_best / static_cast<double>(n_records)) : 0.0;
@@ -779,9 +774,9 @@ void write_incremental_trajectory() {
     // Driver smoke: one insert and one delete batch through the
     // IncrementalClosure driver, plus one empty-operand multiply. The timed
     // ladder above exercises the raw update_closure path only; this pass
-    // makes the exit trace carry the rest of the spbla.incr.* story —
-    // batch/saved-iterations accounting, the delta-overlay nnz, and the
-    // dispatcher short-circuit — for check_trace.py --require-incr.
+    // makes the exit metrics carry the rest of the spbla.incr.* story —
+    // batches, the delta-overlay nnz, and the dispatcher short-circuit — for
+    // check_trace.py --require-incr.
     {
         const Matrix& adj = inputs[0].adj;
         const Index n = adj.nrows();
@@ -794,7 +789,7 @@ void write_incremental_trajectory() {
         (void)storage::multiply(ctx(), adj, none);
     }
     // Deliberate replay: identical operand epochs hit the op memo, so the
-    // exit trace (and this file) record non-zero memo hit counters.
+    // exit metrics (and this file) record non-zero memo hit counters.
     {
         const auto before = incr::memo().stats();
         const Matrix& adj = inputs[0].adj;
@@ -824,16 +819,12 @@ int main(int argc, char** argv) {
     // would lap the dist.* spans out of the exit trace), so size the rings
     // for the whole smoke run before the first span is recorded.
     prof::set_ring_capacity(1 << 16);
-    // The formats ladder runs second: the spgemm ladder resets the profiling
-    // counters per config, so this order leaves the dispatch counter story
-    // (picks, conversions, cache hits) intact in the exit trace dump.
     write_spgemm_trajectory();
     write_formats_trajectory();
-    // The dist ladder runs last for the same reason: its dist_* counters
-    // must survive into the exit trace for check_trace.py --require-dist.
     write_dist_trajectory();
-    // The incremental ladder follows: its spbla.incr.* counters and
-    // incr.closure.round spans feed check_trace.py --require-incr.
+    // The incremental ladder runs last among the ladders: its
+    // incr.closure.round spans must survive into the exit trace for
+    // check_trace.py --require-incr.
     write_incremental_trajectory();
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "backend/context.hpp"
-#include "prof/prof.hpp"
+#include "telemetry/metrics.hpp"
 #include "util/timer.hpp"
 
 namespace spbla::bench {
@@ -119,9 +119,9 @@ inline std::string with_commas(std::uint64_t v) {
 
 /// Minimal streaming JSON writer shared by the benchmark executables, so
 /// every BENCH_*.json carries the same shapes — timings as
-/// {min_ms, mean_ms, stddev_ms, runs} objects, profiling counters under a
-/// "counters" key — without each bench hand-rolling fprintf format strings
-/// (and their comma/escaping bugs).
+/// {min_ms, mean_ms, stddev_ms, runs} objects, telemetry counter deltas
+/// under a "counters" key — without each bench hand-rolling fprintf format
+/// strings (and their comma/escaping bugs).
 class JsonWriter {
 public:
     explicit JsonWriter(std::FILE* f) : f_(f) {}
@@ -195,14 +195,17 @@ private:
     std::vector<bool> first_;  ///< one entry per open scope; true until first item
 };
 
-/// Emit every profiling counter aggregated since the last prof::reset() as a
-/// "span/counter" keyed object. Empty when the library was built with
-/// SPBLA_PROFILE=off (the counter tables stay silent) or profiling is
-/// disabled at runtime.
-inline void write_prof_counters(JsonWriter& w, const char* key = "counters") {
+/// Emit the telemetry counters that moved between \p before and \p after as
+/// an object keyed by their exported names (metric_names.hpp). Telemetry is
+/// always on, so this works in every build.
+inline void write_counter_deltas(JsonWriter& w, const char* key,
+                                 const telemetry::Snapshot& before,
+                                 const telemetry::Snapshot& after) {
     w.begin_object(key);
-    for (const auto& row : prof::counter_rows()) {
-        w.field((row.span + "/" + row.counter).c_str(), row.value);
+    for (std::size_t c = 0; c < telemetry::kNumCounters; ++c) {
+        const auto counter = static_cast<telemetry::Counter>(c);
+        const std::uint64_t delta = after.counter(counter) - before.counter(counter);
+        if (delta != 0) w.field(telemetry::name(counter), delta);
     }
     w.end_object();
 }

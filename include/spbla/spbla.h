@@ -95,8 +95,8 @@ uint64_t spbla_GetLiveObjects(void);
  * library call is equivalent to enabling level 2 and dumping a trace to
  * <path> at process exit. */
 
-/** Set the runtime profiling level: 0 = off, 1 = per-span counters,
- *  2 = counters + Chrome-trace span recording. Levels above what the
+/** Set the runtime profiling level: 0 = off, 1 = span calls and time,
+ *  2 = span calls and time + Chrome-trace span recording. Levels above what the
  *  library was compiled with record nothing for the compiled-out macro
  *  sites. May be called before spbla_Initialize. */
 spbla_Status spbla_ProfEnable(int level);

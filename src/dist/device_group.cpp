@@ -6,7 +6,6 @@
 #include <algorithm>
 
 #include "dist/dist.hpp"
-#include "prof/prof.hpp"
 #include "telemetry/metrics.hpp"
 #include "util/contracts.hpp"
 #include "util/timer.hpp"
@@ -69,11 +68,9 @@ void DeviceGroup::run(std::size_t n_tasks,
                             : static_cast<std::uint64_t>(timer.seconds() * 1e9),
                 std::memory_order_relaxed);
             stats().tiles_processed.fetch_add(1, std::memory_order_relaxed);
-            SPBLA_PROF_COUNT(dist_tiles, 1);
             telemetry::count(telemetry::Counter::DistTilesProcessed);
             if (stolen) {
                 stats().tile_steals.fetch_add(1, std::memory_order_relaxed);
-                SPBLA_PROF_COUNT(dist_steals, 1);
                 telemetry::count(telemetry::Counter::DistTileSteals);
             }
         };

@@ -98,7 +98,6 @@ std::shared_ptr<const ShardedMatrix> get_shard(const Matrix& m, const Partition&
             for (const Engine::CacheEntry& entry : e.cache) {
                 if (entry.version == v && entry.shard->partition() == part) {
                     stats().shard_cache_hits.fetch_add(1, std::memory_order_relaxed);
-                    SPBLA_PROF_COUNT(dist_shard_hits, 1);
                     telemetry::count(telemetry::Counter::DistShardCacheHits);
                     return entry.shard;
                 }
@@ -110,7 +109,6 @@ std::shared_ptr<const ShardedMatrix> get_shard(const Matrix& m, const Partition&
     // engine().cfg here would race with a concurrent configure().
     auto shard = std::make_shared<const ShardedMatrix>(*grp, m, part, placement);
     stats().shard_builds.fetch_add(1, std::memory_order_relaxed);
-    SPBLA_PROF_COUNT(dist_shard_builds, 1);
     telemetry::count(telemetry::Counter::DistShardBuilds);
     if (v != 0) {
         const util::LockGuard lock{e.mutex};
@@ -122,7 +120,6 @@ std::shared_ptr<const ShardedMatrix> get_shard(const Matrix& m, const Partition&
 
 void count_op() {
     stats().sharded_ops.fetch_add(1, std::memory_order_relaxed);
-    SPBLA_PROF_COUNT(dist_sharded_ops, 1);
     telemetry::count(telemetry::Counter::DistShardedOps);
 }
 

@@ -12,8 +12,8 @@
 /// any op whose operands cross the size/nnz thresholds through the sharded
 /// kernels (DistBridge), so the closure/CFPQ/RPQ fixpoint drivers scale with
 /// no source changes. dist::ScopedHint forces the route per scope either
-/// way. Inter-device tile traffic is charged to dist::stats() and mirrored
-/// into spbla::prof counters (dist_* families in the Chrome trace).
+/// way. Inter-device tile traffic is charged to dist::stats() and to the
+/// spbla.dist.* telemetry counters.
 ///
 /// Everything below operates on the format-polymorphic spbla::Matrix; the
 /// concrete-tile headers (partition/device_group/sharded_matrix/sharded_ops)
@@ -33,8 +33,10 @@ namespace spbla::dist {
 
 class DeviceGroup;
 
-/// Process-wide sharded-execution counters. Always compiled (relaxed
-/// atomics), mirrored into spbla::prof as the dist_* counter family.
+/// Process-wide sharded-execution counters (relaxed atomics). The same
+/// events are counted by telemetry (spbla.dist.*), the one registry metrics
+/// exports and trace checks read; these fields remain for callers that read
+/// them directly (tests, benches, perfbench).
 struct Stats {
     std::atomic<std::uint64_t> sharded_ops{0};      ///< ops executed sharded
     std::atomic<std::uint64_t> shard_builds{0};     ///< shardings materialised

@@ -23,7 +23,6 @@
 #include "ops/mxv.hpp"
 #include "ops/reduce.hpp"
 #include "ops/transpose.hpp"
-#include "prof/prof.hpp"
 #include "telemetry/metrics.hpp"
 #include "util/contracts.hpp"
 
@@ -40,8 +39,6 @@ void note_transfer(const Matrix& tile, std::size_t tile_owner, std::size_t exec_
     const std::size_t bytes = tile.device_bytes();
     stats().tile_transfers.fetch_add(1, std::memory_order_relaxed);
     stats().transfer_bytes.fetch_add(bytes, std::memory_order_relaxed);
-    SPBLA_PROF_COUNT(dist_transfers, 1);
-    SPBLA_PROF_COUNT(dist_transfer_bytes, bytes);
     telemetry::count(telemetry::Counter::DistTileTransfers);
     telemetry::count(telemetry::Counter::DistTransferBytes, bytes);
 }
@@ -179,13 +176,17 @@ Matrix sharded_multiply(backend::Context& out_ctx, const ShardedMatrix& a,
                         bb_acc = bb_acc ? ops::ewise_add(dev, *bb_acc, p) : std::move(p);
                     }
                 } else if (acc) {
-                    CsrMatrix next =
-                        ops::multiply_add(dev, *acc, at.csr(), bt.csr(), opts);  // lint:allow(parallel-capture)
-                    // The superseded accumulator's arrays go back to this
-                    // device's pool; the next round's product re-draws them.
-                    auto [offsets, cols] = std::move(*acc).release_raw();
-                    dev.buffer_pool().release(std::move(offsets));
-                    dev.buffer_pool().release(std::move(cols));
+                    CsrMatrix product = ops::multiply(dev, at.csr(), bt.csr(), opts);  // lint:allow(parallel-capture)
+                    CsrMatrix next = ops::ewise_add(dev, *acc, product);
+                    // The partial product and the superseded accumulator go
+                    // back to this device's pool: tiles of one grid have
+                    // similar sizes, so the next round's product re-draws
+                    // these arrays.
+                    for (CsrMatrix* dead : {&product, &*acc}) {
+                        auto [offsets, cols] = std::move(*dead).release_raw();
+                        dev.buffer_pool().release(std::move(offsets));
+                        dev.buffer_pool().release(std::move(cols));
+                    }
                     acc = std::move(next);
                 } else {
                     acc = ops::multiply(dev, at.csr(), bt.csr(), opts);  // lint:allow(parallel-capture)
@@ -353,8 +354,8 @@ Matrix sharded_kronecker(backend::Context& out_ctx, const ShardedMatrix& a,
         const std::size_t bytes = copies * bcsr.device_bytes();
         stats().tile_transfers.fetch_add(copies, std::memory_order_relaxed);
         stats().transfer_bytes.fetch_add(bytes, std::memory_order_relaxed);
-        SPBLA_PROF_COUNT(dist_transfers, copies);
-        SPBLA_PROF_COUNT(dist_transfer_bytes, bytes);
+        telemetry::count(telemetry::Counter::DistTileTransfers, copies);
+        telemetry::count(telemetry::Counter::DistTransferBytes, bytes);
     }
     return assemble(out_ctx, out_part, results);
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "prof/prof.hpp"
 #include "storage/dispatch.hpp"
 #include "telemetry/metrics.hpp"
 #include "util/contracts.hpp"
@@ -27,7 +26,6 @@ void DeltaMatrix::apply(const Matrix& adds, const Matrix& removes,
         telemetry::count(telemetry::Counter::IncrBatches);
         telemetry::count(telemetry::Counter::IncrDeltaNnz,
                          adds.nnz() + removes.nnz());
-        SPBLA_PROF_COUNT(incr_delta_nnz, adds.nnz() + removes.nnz());
         // Renormalize the overlay for effective' = (effective ⊖ R) ⊕ A:
         //   del' = (del ⊕ (R ∩ base)) ⊖ A   — still ⊆ base, insert wins
         //   add' = ((add ⊖ R) ⊕ A) ⊖ (base ⊖ del')
@@ -50,7 +48,6 @@ void DeltaMatrix::apply(const Matrix& adds, const Matrix& removes,
 void DeltaMatrix::consolidate(backend::Context& ctx) {
     if (overlay_empty()) return;
     telemetry::count(telemetry::Counter::IncrConsolidations);
-    SPBLA_PROF_COUNT(incr_consolidations, 1);
     base_.apply_delta(add_, del_, ctx);
     add_ = Matrix{base_.nrows(), base_.ncols(), ctx};
     del_ = Matrix{base_.nrows(), base_.ncols(), ctx};

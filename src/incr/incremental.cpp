@@ -36,7 +36,6 @@ std::size_t saturate(backend::Context& ctx, Matrix& m, Matrix frontier,
     while (!frontier.empty()) {
         ++rounds;
         SPBLA_PROF_SPAN_ITER("incr.closure.round", rounds);
-        SPBLA_PROF_COUNT(incr_frontier_nnz, frontier.nnz());
         const Matrix ext = storage::multiply(ctx, frontier, step, opts);
         frontier = storage::ewise_diff(ctx, ext, m);
         m = storage::ewise_add(ctx, m, frontier);
@@ -52,9 +51,6 @@ void account_batch(IncrStats& stats, std::size_t rounds_used) {
                                     : 0;
     stats.iterations_saved += saved;
     telemetry::count(telemetry::Counter::IncrIterationsSaved, saved);
-    SPBLA_PROF_COUNT(incr_batches, 1);
-    SPBLA_PROF_COUNT(incr_baseline_rounds, stats.baseline_rounds);
-    SPBLA_PROF_COUNT(incr_iterations_saved, saved);
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "prof/prof.hpp"
 #include "storage/dispatch.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -11,10 +10,8 @@ namespace spbla::incr {
 std::shared_ptr<const Matrix> MemoTable::get_or_compute(
     const MemoKey& key, const std::function<Matrix()>& compute) {
     telemetry::count(telemetry::Counter::IncrMemoLookups);
-    SPBLA_PROF_COUNT(incr_memo_lookups, 1);
 
     std::shared_ptr<Entry> entry;
-    bool created = false;
     {
         util::LockGuard lk{mu_};
         ++stats_.lookups;
@@ -23,7 +20,6 @@ std::shared_ptr<const Matrix> MemoTable::get_or_compute(
             entry = std::make_shared<Entry>();
             entries_.emplace(key, entry);
             fifo_.push_back(key);
-            created = true;
             while (entries_.size() > capacity_) {
                 // FIFO eviction. Waiters on an evicted in-flight entry still
                 // hold their shared_ptr and finish normally; the key is just
@@ -38,8 +34,9 @@ std::shared_ptr<const Matrix> MemoTable::get_or_compute(
         }
     }
 
-    // Rendezvous outside the table lock: the first arrival computes, every
-    // later arrival blocks here and reuses the published value.
+    // Rendezvous outside the table lock: whichever arrival takes compute_mu
+    // first computes (not necessarily the one that inserted the entry), and
+    // every other arrival reuses the published value and counts a hit.
     util::LockGuard lk{entry->compute_mu};
     if (entry->value == nullptr) {
         entry->value = std::make_shared<const Matrix>(compute());
@@ -48,14 +45,12 @@ std::shared_ptr<const Matrix> MemoTable::get_or_compute(
             ++stats_.stores;
         }
         telemetry::count(telemetry::Counter::IncrMemoStores);
-        SPBLA_PROF_COUNT(incr_memo_stores, 1);
-    } else if (!created) {
+    } else {
         {
             util::LockGuard slk{mu_};
             ++stats_.hits;
         }
         telemetry::count(telemetry::Counter::IncrMemoHits);
-        SPBLA_PROF_COUNT(incr_memo_hits, 1);
     }
     return entry->value;
 }

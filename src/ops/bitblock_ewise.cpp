@@ -2,9 +2,9 @@
 ///
 /// Both kernels are a per-block-row merge of the two tile lists by block
 /// column. OR keeps every tile (unmatched tiles copy through, matched pairs
-/// OR word-wise); AND keeps only matched pairs, 64 word ANDs each — that is
-/// the counter bitblock_words_anded, the broadword tier's unit of useful
-/// work (one AND = 64 Boolean cell products). Sparse-kind tiles are
+/// OR word-wise); AND keeps only matched pairs, 64 word ANDs each — the
+/// broadword tier's unit of useful work (one AND = 64 Boolean cell
+/// products). Sparse-kind tiles are
 /// expanded into a 64-word scratch first; at < 32 entries the expansion is
 /// a memset plus a handful of stores, cheaper than a dedicated entry-merge
 /// path would save.
@@ -40,7 +40,6 @@ BitBlockMatrix ewise_add(backend::Context& ctx, const BitBlockMatrix& a,
     SPBLA_VALIDATE(a);
     SPBLA_VALIDATE(b);
     SPBLA_PROF_SPAN("bitblock.ewise_add");
-    SPBLA_PROF_COUNT(nnz_in, a.nnz() + b.nnz());
 
     const Index brows = a.brows();
     std::vector<detail::BlockRowStage> stages(static_cast<std::size_t>(brows));
@@ -49,7 +48,6 @@ BitBlockMatrix ewise_add(backend::Context& ctx, const BitBlockMatrix& a,
         const auto ra = a.block_row(br);
         const auto rb = b.block_row(br);
         detail::BlockRowStage& stage = stages[bri];
-        std::uint64_t tiles = 0;
         std::size_t i = 0;
         std::size_t j = 0;
         while (i < ra.size() || j < rb.size()) {
@@ -70,13 +68,10 @@ BitBlockMatrix ewise_add(backend::Context& ctx, const BitBlockMatrix& a,
                 }
                 ++j;
             }
-            ++tiles;
         }
-        SPBLA_PROF_COUNT(bitblock_blocks_touched, tiles);
     });
 
     BitBlockMatrix out = detail::assemble(a.nrows(), a.ncols(), std::move(stages));
-    SPBLA_PROF_COUNT(nnz_out, out.nnz());
     SPBLA_VALIDATE(out);
     return out;
 }
@@ -88,7 +83,6 @@ BitBlockMatrix ewise_mult(backend::Context& ctx, const BitBlockMatrix& a,
     SPBLA_VALIDATE(a);
     SPBLA_VALIDATE(b);
     SPBLA_PROF_SPAN("bitblock.ewise_mult");
-    SPBLA_PROF_COUNT(nnz_in, a.nnz() + b.nnz());
 
     const Index brows = a.brows();
     std::vector<detail::BlockRowStage> stages(static_cast<std::size_t>(brows));
@@ -97,8 +91,6 @@ BitBlockMatrix ewise_mult(backend::Context& ctx, const BitBlockMatrix& a,
         const auto ra = a.block_row(br);
         const auto rb = b.block_row(br);
         detail::BlockRowStage& stage = stages[bri];
-        std::uint64_t tiles = 0;
-        std::uint64_t anded = 0;
         std::size_t i = 0;
         std::size_t j = 0;
         while (i < ra.size() && j < rb.size()) {
@@ -112,18 +104,13 @@ BitBlockMatrix ewise_mult(backend::Context& ctx, const BitBlockMatrix& a,
                 a.expand(ra[i], dst);
                 b.expand(rb[j], tmp);
                 for (std::size_t w = 0; w < kW; ++w) dst[w] &= tmp[w];
-                anded += kW;
-                ++tiles;
                 ++i;
                 ++j;
             }
         }
-        SPBLA_PROF_COUNT(bitblock_blocks_touched, tiles);
-        SPBLA_PROF_COUNT(bitblock_words_anded, anded);
     });
 
     BitBlockMatrix out = detail::assemble(a.nrows(), a.ncols(), std::move(stages));
-    SPBLA_PROF_COUNT(nnz_out, out.nnz());
     SPBLA_VALIDATE(out);
     return out;
 }

@@ -17,8 +17,7 @@
 ///
 /// The lookup path turns per-row work from O(row popcount) into O(8): at
 /// tile density 1/4 and up it does 4-8x fewer word ops, which is the bench
-/// ladder's headline. Counters: bitblock_blocks_touched counts tile pairs,
-/// bitblock_lookup_hits counts table probes.
+/// ladder's headline.
 #include <algorithm>
 #include <cstring>
 #include <utility>
@@ -81,7 +80,6 @@ BitBlockMatrix multiply(backend::Context& ctx, const BitBlockMatrix& a,
     SPBLA_VALIDATE(a);
     SPBLA_VALIDATE(b);
     SPBLA_PROF_SPAN("bitblock.multiply");
-    SPBLA_PROF_COUNT(nnz_in, a.nnz() + b.nnz());
 
     const Index brows = a.brows();
     const Index bcols_out = b.bcols();
@@ -128,8 +126,6 @@ BitBlockMatrix multiply(backend::Context& ctx, const BitBlockMatrix& a,
 
         std::uint64_t bexp[kW];
         FourRussiansTable table;
-        std::uint64_t pairs = 0;
-        std::uint64_t lookups = 0;
 
         std::size_t i = 0;
         while (i < atiles.size()) {
@@ -157,7 +153,6 @@ BitBlockMatrix multiply(backend::Context& ctx, const BitBlockMatrix& a,
                         acc.resize(acc.size() + kW, 0);
                     }
                     std::uint64_t* dst = acc.data() + static_cast<std::size_t>(s) * kW;
-                    ++pairs;
                     if (atile.kind == BitBlockMatrix::BlockKind::Sparse) {
                         for (const std::uint16_t e : a.sparse_entries(atile)) {
                             dst[e >> 6] |= bw[e & 63];
@@ -179,7 +174,6 @@ BitBlockMatrix multiply(backend::Context& ctx, const BitBlockMatrix& a,
                                        table.at[5][(x >> 40) & 0xff] |
                                        table.at[6][(x >> 48) & 0xff] |
                                        table.at[7][x >> 56];
-                            lookups += 8;
                         }
                     } else {
                         const std::uint64_t* aw = a.bitmap_words(atile).data();
@@ -219,14 +213,11 @@ BitBlockMatrix multiply(backend::Context& ctx, const BitBlockMatrix& a,
             }
             t = e;
         }
-        SPBLA_PROF_COUNT(bitblock_blocks_touched, pairs);
-        SPBLA_PROF_COUNT(bitblock_lookup_hits, lookups);
         };
         for (std::size_t p = p0; p < p1; ++p) run_panel(p);
     });
 
     BitBlockMatrix out = detail::assemble(a.nrows(), b.ncols(), std::move(stages));
-    SPBLA_PROF_COUNT(nnz_out, out.nnz());
     SPBLA_VALIDATE(out);
     return out;
 }

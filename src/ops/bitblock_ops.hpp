@@ -7,9 +7,8 @@
 /// grid with three inner paths picked per tile pair (sparse scatter, row-OR,
 /// and an 8-bit Four-Russians lookup table for dense tiles); transpose() is
 /// an in-register 64x64 bit transpose per tile; the element-wise family and
-/// mxv/reduce are word-wide sweeps. Work is observable through the
-/// bitblock_* prof counter family (blocks touched, words ANDed, lookup
-/// hits).
+/// mxv/reduce are word-wide sweeps. Each kernel opens a bitblock.* prof
+/// span.
 #pragma once
 
 #include "backend/context.hpp"

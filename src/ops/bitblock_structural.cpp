@@ -9,7 +9,7 @@
 ///
 /// reduce_to_column() folds each tile into one 64-bit row-occupancy mask;
 /// mxv() packs the operand vector into one word per block column so a tile
-/// row is tested with a single AND (counted in bitblock_words_anded).
+/// row is tested with a single AND.
 #include <algorithm>
 #include <vector>
 
@@ -35,9 +35,6 @@ BitBlockMatrix transpose(backend::Context& ctx, const BitBlockMatrix& a) {
     (void)ctx;  // grid histogram + per-tile register transpose; single-launch
     SPBLA_VALIDATE(a);
     SPBLA_PROF_SPAN("bitblock.transpose");
-    SPBLA_PROF_COUNT(nnz_in, a.nnz());
-    SPBLA_PROF_COUNT(nnz_out, a.nnz());
-    SPBLA_PROF_COUNT(bitblock_blocks_touched, a.blocks().size());
 
     const Index obrows = a.bcols();
     std::vector<Index> offsets(static_cast<std::size_t>(obrows) + 1, 0);
@@ -100,13 +97,11 @@ BitBlockMatrix transpose(backend::Context& ctx, const BitBlockMatrix& a) {
 SpVector reduce_to_column(backend::Context& ctx, const BitBlockMatrix& a) {
     SPBLA_VALIDATE(a);
     SPBLA_PROF_SPAN("bitblock.reduce_to_column");
-    SPBLA_PROF_COUNT(nnz_in, a.nnz());
 
     const Index brows = a.brows();
     std::vector<std::uint64_t> masks(static_cast<std::size_t>(brows), 0);
     ctx.parallel_for(static_cast<std::size_t>(brows), kBlockRowGrain, [&](std::size_t bri) {
         std::uint64_t mask = 0;
-        std::uint64_t tiles = 0;
         for (const auto& t : a.block_row(static_cast<Index>(bri))) {
             if (t.kind == BlockKind::Bitmap) {
                 const auto w = a.bitmap_words(t);
@@ -118,10 +113,8 @@ SpVector reduce_to_column(backend::Context& ctx, const BitBlockMatrix& a) {
                     mask |= std::uint64_t{1} << (e >> 6);
                 }
             }
-            ++tiles;
         }
         masks[bri] = mask;
-        SPBLA_PROF_COUNT(bitblock_blocks_touched, tiles);
     });
 
     std::vector<Index> indices;
@@ -131,7 +124,6 @@ SpVector reduce_to_column(backend::Context& ctx, const BitBlockMatrix& a) {
         });
     }
     SpVector out = SpVector::from_indices(a.nrows(), std::move(indices));
-    SPBLA_PROF_COUNT(nnz_out, out.nnz());
     SPBLA_VALIDATE(out);
     return out;
 }
@@ -141,7 +133,6 @@ SpVector mxv(backend::Context& ctx, const BitBlockMatrix& a, const SpVector& x) 
     SPBLA_VALIDATE(a);
     SPBLA_VALIDATE(x);
     SPBLA_PROF_SPAN("bitblock.mxv");
-    SPBLA_PROF_COUNT(nnz_in, a.nnz() + x.nnz());
 
     // One word per block column: tile row r intersects x iff
     // words[r] & xw[bcol] != 0 — a 64-way Boolean dot product per AND.
@@ -154,18 +145,14 @@ SpVector mxv(backend::Context& ctx, const BitBlockMatrix& a, const SpVector& x) 
     std::vector<std::uint64_t> masks(static_cast<std::size_t>(brows), 0);
     ctx.parallel_for(static_cast<std::size_t>(brows), kBlockRowGrain, [&](std::size_t bri) {
         std::uint64_t mask = 0;
-        std::uint64_t tiles = 0;
-        std::uint64_t anded = 0;
         for (const auto& t : a.block_row(static_cast<Index>(bri))) {
             const std::uint64_t xk = xw[t.bcol];
-            ++tiles;
             if (xk == 0) continue;
             if (t.kind == BlockKind::Bitmap) {
                 const auto w = a.bitmap_words(t);
                 for (std::size_t rl = 0; rl < kW; ++rl) {
                     if (w[rl] & xk) mask |= std::uint64_t{1} << rl;
                 }
-                anded += kW;
             } else {
                 for (const std::uint16_t e : a.sparse_entries(t)) {
                     if ((xk >> (e & 63)) & 1) mask |= std::uint64_t{1} << (e >> 6);
@@ -173,8 +160,6 @@ SpVector mxv(backend::Context& ctx, const BitBlockMatrix& a, const SpVector& x) 
             }
         }
         masks[bri] = mask;
-        SPBLA_PROF_COUNT(bitblock_blocks_touched, tiles);
-        SPBLA_PROF_COUNT(bitblock_words_anded, anded);
     });
 
     std::vector<Index> indices;
@@ -184,7 +169,6 @@ SpVector mxv(backend::Context& ctx, const BitBlockMatrix& a, const SpVector& x) 
         });
     }
     SpVector out = SpVector::from_indices(a.nrows(), std::move(indices));
-    SPBLA_PROF_COUNT(nnz_out, out.nnz());
     SPBLA_VALIDATE(out);
     return out;
 }

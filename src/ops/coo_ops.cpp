@@ -27,7 +27,6 @@ CooMatrix multiply(backend::Context& ctx, const CooMatrix& a, const CooMatrix& b
     SPBLA_VALIDATE(a);
     SPBLA_VALIDATE(b);
     SPBLA_PROF_SPAN("coo.multiply");
-    SPBLA_PROF_COUNT(nnz_in, a.nnz() + b.nnz());
     const auto b_offsets = row_segments(b);
     const auto a_rows = a.rows();
     const auto a_cols = a.cols();
@@ -38,7 +37,6 @@ CooMatrix multiply(backend::Context& ctx, const CooMatrix& a, const CooMatrix& b
     // trade-off the paper describes for the one-pass COO addition.
     std::size_t products = 0;
     for (const auto k : a_cols) products += b_offsets[k + 1] - b_offsets[k];
-    SPBLA_PROF_COUNT(esc_products, products);
     auto keys = ctx.alloc<std::uint64_t>(products);
 
     std::size_t out = 0;
@@ -56,7 +54,6 @@ CooMatrix multiply(backend::Context& ctx, const CooMatrix& a, const CooMatrix& b
     const auto unique_end = std::unique(keys.begin(), keys.end());
     const auto distinct =
         static_cast<std::size_t>(std::distance(keys.begin(), unique_end));
-    SPBLA_PROF_COUNT(nnz_out, distinct);
 
     std::vector<Index> rows(distinct);
     std::vector<Index> cols(distinct);
@@ -73,8 +70,6 @@ CooMatrix multiply(backend::Context& ctx, const CooMatrix& a, const CooMatrix& b
 CooMatrix transpose(backend::Context& ctx, const CooMatrix& n) {
     SPBLA_VALIDATE(n);
     SPBLA_PROF_SPAN("coo.transpose");
-    SPBLA_PROF_COUNT(nnz_in, n.nnz());
-    SPBLA_PROF_COUNT(nnz_out, n.nnz());
     // Pack as (col, row) keys and sort — simple and exactly nnz extra words.
     auto keys = ctx.alloc<std::uint64_t>(n.nnz());
     const auto rows = n.rows();

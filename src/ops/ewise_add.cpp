@@ -35,7 +35,6 @@ CsrMatrix ewise_add(backend::Context& ctx, const CsrMatrix& a, const CsrMatrix& 
     SPBLA_VALIDATE(a);
     SPBLA_VALIDATE(b);
     SPBLA_PROF_SPAN("ewise_add");
-    SPBLA_PROF_COUNT(nnz_in, a.nnz() + b.nnz());
     const Index m = a.nrows();
 
     // Pass 1: exact union size per row (enables precise allocation), scanned
@@ -47,10 +46,6 @@ CsrMatrix ewise_add(backend::Context& ctx, const CsrMatrix& a, const CsrMatrix& 
     });
     const std::uint64_t total = ctx.exclusive_scan(row_offsets);
     check(total <= 0xFFFFFFFFull, Status::OutOfRange, "ewise_add: nnz overflows Index");
-    SPBLA_PROF_COUNT(nnz_out, total);
-    // Merge length: candidate entries fed to the two-pointer merge vs the
-    // union that survives — the gap is the duplicate (overlap) work.
-    SPBLA_PROF_COUNT(merge_len, a.nnz() + b.nnz());
 
     // Pass 2: merge each row pair into its exact slot.
     std::vector<Index> cols(static_cast<std::size_t>(total));
@@ -74,7 +69,6 @@ CooMatrix ewise_add(backend::Context& ctx, const CooMatrix& a, const CooMatrix& 
     SPBLA_VALIDATE(a);
     SPBLA_VALIDATE(b);
     SPBLA_PROF_SPAN("ewise_add.coo");
-    SPBLA_PROF_COUNT(nnz_in, a.nnz() + b.nnz());
     // One-pass merge into a buffer of size nnz(A) + nnz(B); duplicates
     // (entries present in both operands) are dropped during the merge.
     auto rows_buf = ctx.alloc<Index>(a.nnz() + b.nnz());
@@ -113,7 +107,6 @@ CooMatrix ewise_add(backend::Context& ctx, const CooMatrix& a, const CooMatrix& 
         cols_buf[out] = bc[j];
     }
 
-    SPBLA_PROF_COUNT(nnz_out, out);
     std::vector<Index> rows(rows_buf.begin(), rows_buf.begin() + static_cast<std::ptrdiff_t>(out));
     std::vector<Index> cols(cols_buf.begin(), cols_buf.begin() + static_cast<std::ptrdiff_t>(out));
     CooMatrix result =

@@ -19,8 +19,6 @@ CsrMatrix kronecker(backend::Context& ctx, const CsrMatrix& a, const CsrMatrix& 
     SPBLA_REQUIRE(total <= 0xFFFFFFFFull, Status::OutOfRange,
                   "kronecker: result nnz overflows Index");
     SPBLA_PROF_SPAN("kronecker");
-    SPBLA_PROF_COUNT(nnz_in, a.nnz() + b.nnz());
-    SPBLA_PROF_COUNT(nnz_out, total);
 
     const Index m = static_cast<Index>(out_rows);
     std::vector<Index> row_offsets(static_cast<std::size_t>(m) + 1, 0);

@@ -175,10 +175,6 @@ Index accumulate_row(const CsrMatrix& a, const CsrMatrix& b, Index i, std::uint6
             if (want > cap) want = cap;
             if (want < 16) want = 16;
             const Index mask = static_cast<Index>(want - 1);
-            // Probe/collision tallies stay in registers inside the row loop;
-            // one prof flush per row keeps the hot path unperturbed.
-            std::uint64_t probes = 0;
-            std::uint64_t collisions = 0;
             if (opts.legacy_accumulator_reset) {
                 s.hash_slots.assign(static_cast<std::size_t>(want), kEmptySlot);
                 Index count = 0;
@@ -186,7 +182,6 @@ Index accumulate_row(const CsrMatrix& a, const CsrMatrix& b, Index i, std::uint6
                     for (const auto c : b.row(k)) {
                         Index h = (c * 2654435761u) & mask;
                         for (;;) {
-                            ++probes;
                             const Index cur = s.hash_slots[h];
                             if (cur == c) break;
                             if (cur == kEmptySlot) {
@@ -194,13 +189,10 @@ Index accumulate_row(const CsrMatrix& a, const CsrMatrix& b, Index i, std::uint6
                                 ++count;
                                 break;
                             }
-                            ++collisions;
                             h = (h + 1) & mask;
                         }
                     }
                 }
-                SPBLA_PROF_COUNT(hash_probes, probes);
-                SPBLA_PROF_COUNT(hash_collisions, collisions);
                 if (need_columns) {
                     s.extracted.reserve(count);
                     for (std::size_t slot = 0; slot < want; ++slot) {
@@ -221,7 +213,6 @@ Index accumulate_row(const CsrMatrix& a, const CsrMatrix& b, Index i, std::uint6
                 for (const auto c : b.row(k)) {
                     Index h = (c * 2654435761u) & mask;
                     for (;;) {
-                        ++probes;
                         const Index cur = s.hash_slots[h];
                         if (cur == c) break;  // duplicate: Boolean OR is idempotent
                         if (cur == kEmptySlot) {
@@ -229,13 +220,10 @@ Index accumulate_row(const CsrMatrix& a, const CsrMatrix& b, Index i, std::uint6
                             s.inserted.push_back(c);
                             break;
                         }
-                        ++collisions;
                         h = (h + 1) & mask;
                     }
                 }
             }
-            SPBLA_PROF_COUNT(hash_probes, probes);
-            SPBLA_PROF_COUNT(hash_collisions, collisions);
             const Index count = static_cast<Index>(s.inserted.size());
             if (static_cast<std::uint64_t>(count) * 2 >= want) {
                 std::fill(s.hash_slots.begin(),
@@ -338,7 +326,6 @@ CsrMatrix multiply(backend::Context& ctx, const CsrMatrix& a, const CsrMatrix& b
     SPBLA_VALIDATE(a);
     SPBLA_VALIDATE(b);
     SPBLA_PROF_SPAN("spgemm.multiply");
-    SPBLA_PROF_COUNT(nnz_in, a.nnz() + b.nnz());
     const Index m = a.nrows();
     const util::Schedule sched =
         opts.use_ticket_scheduler ? util::Schedule::Dynamic : util::Schedule::Static;
@@ -361,24 +348,6 @@ CsrMatrix multiply(backend::Context& ctx, const CsrMatrix& a, const CsrMatrix& b
     BinSchedule bins;
     if (opts.use_bin_scheduler) bins.build(ub.data(), m, b.ncols(), opts);
 
-    // Bin-occupancy counters: an O(m) classify tally on the calling thread,
-    // so the numbers land deterministically on this span's trace event.
-    if constexpr (prof::kCompiledLevel >= SPBLA_PROFILE_COUNTERS) {
-        if (prof::counting()) {
-            std::array<std::uint64_t, kNumKinds> tally{};
-            for (Index i = 0; i < m; ++i) {
-                ++tally[static_cast<std::size_t>(classify_row(ub[i], b.ncols(), opts))];
-            }
-            SPBLA_PROF_COUNT(rows_total, m);
-            SPBLA_PROF_COUNT(rows_empty, tally[static_cast<std::size_t>(RowKind::Empty)]);
-            SPBLA_PROF_COUNT(rows_tiny, tally[static_cast<std::size_t>(RowKind::Tiny)]);
-            SPBLA_PROF_COUNT(rows_hash_small,
-                             tally[static_cast<std::size_t>(RowKind::HashSmall)]);
-            SPBLA_PROF_COUNT(rows_hash_large,
-                             tally[static_cast<std::size_t>(RowKind::HashLarge)]);
-            SPBLA_PROF_COUNT(rows_dense, tally[static_cast<std::size_t>(RowKind::Dense)]);
-        }
-    }
     const auto launch_rows = [&](const std::function<void(Index, RowScratch&)>& row_fn) {
         if (opts.use_bin_scheduler) {
             ctx.parallel_for_chunks(
@@ -481,14 +450,6 @@ CsrMatrix multiply(backend::Context& ctx, const CsrMatrix& a, const CsrMatrix& b
                   cols.begin() + row_offsets[i]);
     });
     }
-    SPBLA_PROF_COUNT(nnz_out, total);
-    if constexpr (prof::kCompiledLevel >= SPBLA_PROFILE_COUNTERS) {
-        if (caching && prof::counting()) {
-            std::uint64_t kept = 0;
-            for (Index i = 0; i < m; ++i) kept += cached[i];
-            SPBLA_PROF_COUNT(cached_rows, kept);
-        }
-    }
 
     CsrMatrix out =
         CsrMatrix::from_raw(m, b.ncols(), std::move(row_offsets), std::move(cols));
@@ -502,15 +463,7 @@ CsrMatrix multiply_add(backend::Context& ctx, const CsrMatrix& c, const CsrMatri
                   Status::DimensionMismatch,
                   "spgemm: accumulator shape must match A.nrows x B.ncols");
     SPBLA_VALIDATE(c);
-    CsrMatrix product = multiply(ctx, a, b, opts);
-    CsrMatrix out = ewise_add(ctx, c, product);
-    // The intermediate product is dead once accumulated; hand its arrays
-    // back to the pool so the next iteration's multiply re-acquires them
-    // (the closure/CFPQ loops hit this every round).
-    auto [offsets, cols] = std::move(product).release_raw();
-    ctx.buffer_pool().release(std::move(offsets));
-    ctx.buffer_pool().release(std::move(cols));
-    return out;
+    return ewise_add(ctx, c, multiply(ctx, a, b, opts));
 }
 
 }  // namespace spbla::ops

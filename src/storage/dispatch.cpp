@@ -173,22 +173,18 @@ void count_dispatch(Format f) noexcept {
     switch (f) {
         case Format::Csr:
             stats().dispatch_csr.fetch_add(1, std::memory_order_relaxed);
-            SPBLA_PROF_COUNT(dispatch_csr, 1);
             telemetry::count(telemetry::Counter::DispatchCsr);
             break;
         case Format::Coo:
             stats().dispatch_coo.fetch_add(1, std::memory_order_relaxed);
-            SPBLA_PROF_COUNT(dispatch_coo, 1);
             telemetry::count(telemetry::Counter::DispatchCoo);
             break;
         case Format::Dense:
             stats().dispatch_dense.fetch_add(1, std::memory_order_relaxed);
-            SPBLA_PROF_COUNT(dispatch_dense, 1);
             telemetry::count(telemetry::Counter::DispatchDense);
             break;
         case Format::BitBlocks:
             stats().dispatch_bitblock.fetch_add(1, std::memory_order_relaxed);
-            SPBLA_PROF_COUNT(dispatch_bitblock, 1);
             telemetry::count(telemetry::Counter::DispatchBitBlocks);
             break;
     }
@@ -333,7 +329,6 @@ Matrix multiply(backend::Context& ctx, const Matrix& a, const Matrix& b,
         SPBLA_REQUIRE(a.ncols() == b.nrows(), Status::DimensionMismatch,
                       "multiply: inner dimensions disagree");
         telemetry::count(telemetry::Counter::IncrShortCircuits);
-        SPBLA_PROF_COUNT(incr_shortcircuit, 1);
         count_dispatch(Format::Csr);
         Matrix out{a.nrows(), b.ncols(), ctx};
         tel.done(Format::Csr, out.nrows(), out.ncols(), 0);
@@ -397,7 +392,6 @@ Matrix multiply_add(backend::Context& ctx, const Matrix& c, const Matrix& a,
                       Status::DimensionMismatch,
                       "multiply_add: accumulator shape disagrees");
         telemetry::count(telemetry::Counter::IncrShortCircuits);
-        SPBLA_PROF_COUNT(incr_shortcircuit, 1);
         count_dispatch(Format::Csr);
         Matrix out{c};
         tel.done(Format::Csr, out.nrows(), out.ncols(), out.nnz());

@@ -427,7 +427,6 @@ void Matrix::materialise(Format f, backend::Context& ctx) const {
                 }
                 storage::stats().format_conversions.fetch_add(
                     1, std::memory_order_relaxed);
-                SPBLA_PROF_COUNT(format_conversions, 1);
                 telemetry::count(telemetry::Counter::StorageConversions);
                 store_secondary(Format::Csr);
             }
@@ -450,7 +449,6 @@ void Matrix::materialise(Format f, backend::Context& ctx) const {
                 }
                 storage::stats().format_conversions.fetch_add(
                     1, std::memory_order_relaxed);
-                SPBLA_PROF_COUNT(format_conversions, 1);
                 telemetry::count(telemetry::Counter::StorageConversions);
                 store_secondary(Format::Coo);
             }
@@ -473,7 +471,6 @@ void Matrix::materialise(Format f, backend::Context& ctx) const {
                 }
                 storage::stats().format_conversions.fetch_add(
                     1, std::memory_order_relaxed);
-                SPBLA_PROF_COUNT(format_conversions, 1);
                 telemetry::count(telemetry::Counter::StorageConversions);
                 store_secondary(Format::Dense);
             }
@@ -499,7 +496,6 @@ void Matrix::materialise(Format f, backend::Context& ctx) const {
                 }
                 storage::stats().format_conversions.fetch_add(
                     1, std::memory_order_relaxed);
-                SPBLA_PROF_COUNT(format_conversions, 1);
                 telemetry::count(telemetry::Counter::StorageConversions);
                 store_secondary(Format::BitBlocks);
             }
@@ -512,7 +508,6 @@ const CsrMatrix& Matrix::csr(backend::Context& ctx) const {
     if (const CsrMatrix* pub = csr_pub_.load(std::memory_order_acquire)) {
         if (primary_ != Format::Csr) {
             storage::stats().repr_cache_hits.fetch_add(1, std::memory_order_relaxed);
-            SPBLA_PROF_COUNT(repr_cache_hits, 1);
             telemetry::count(telemetry::Counter::StorageCacheHits);
         }
         return *pub;
@@ -526,7 +521,6 @@ const CooMatrix& Matrix::coo(backend::Context& ctx) const {
     if (const CooMatrix* pub = coo_pub_.load(std::memory_order_acquire)) {
         if (primary_ != Format::Coo) {
             storage::stats().repr_cache_hits.fetch_add(1, std::memory_order_relaxed);
-            SPBLA_PROF_COUNT(repr_cache_hits, 1);
             telemetry::count(telemetry::Counter::StorageCacheHits);
         }
         return *pub;
@@ -540,7 +534,6 @@ const DenseMatrix& Matrix::dense(backend::Context& ctx) const {
     if (const DenseMatrix* pub = dense_pub_.load(std::memory_order_acquire)) {
         if (primary_ != Format::Dense) {
             storage::stats().repr_cache_hits.fetch_add(1, std::memory_order_relaxed);
-            SPBLA_PROF_COUNT(repr_cache_hits, 1);
             telemetry::count(telemetry::Counter::StorageCacheHits);
         }
         return *pub;
@@ -554,7 +547,6 @@ const BitBlockMatrix& Matrix::bitblocks(backend::Context& ctx) const {
     if (const BitBlockMatrix* pub = bb_pub_.load(std::memory_order_acquire)) {
         if (primary_ != Format::BitBlocks) {
             storage::stats().repr_cache_hits.fetch_add(1, std::memory_order_relaxed);
-            SPBLA_PROF_COUNT(repr_cache_hits, 1);
             telemetry::count(telemetry::Counter::StorageCacheHits);
         }
         return *pub;

@@ -57,9 +57,10 @@ inline constexpr std::size_t kNumFormats = 4;
 
 namespace storage {
 
-/// Process-wide storage-engine counters. Always compiled (they are a handful
-/// of relaxed atomics); the same events are also mirrored into spbla::prof
-/// counters so they appear in traces and bench JSON.
+/// Process-wide storage-engine counters (relaxed atomics). The same events
+/// are counted by telemetry (spbla.dispatch.*, spbla.storage.*), the one
+/// registry metrics exports and trace checks read; these fields remain for
+/// callers that read them directly (tests, benches, perfbench).
 struct Stats {
     std::atomic<std::uint64_t> format_conversions{0};  ///< concrete conversions run
     std::atomic<std::uint64_t> repr_cache_hits{0};     ///< secondary rep reused

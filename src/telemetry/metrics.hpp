@@ -8,12 +8,14 @@
 /// load plus one uncontended fetch_add (measured <2% on the SpGEMM ladder;
 /// see EXPERIMENTS.md).
 ///
-/// Division of labour with spbla::prof: prof answers "where did this run
-/// spend its time" (span trees, Chrome traces, dev builds only); telemetry
-/// answers "what is this process doing right now" (op rates, latency
-/// quantiles, memory/cache/pool pressure, always). When profiling is
-/// compiled in and enabled, closed spans additionally feed the ProfSpans /
-/// ProfSpanNs instruments here, so one scrape shows both worlds.
+/// Division of labour with spbla::prof: prof only times spans ("where did
+/// this run spend its time": span trees, Chrome traces, dev builds only);
+/// telemetry is the one place that counts events (op rates, latency
+/// quantiles, memory/cache/pool pressure, always). Every event is counted
+/// here once — prof keeps no counters of its own. When profiling is
+/// compiled in and enabled, closed spans feed the ProfSpans / ProfSpanNs
+/// instruments here, and prof stamps its events with this registry's
+/// thread_id() and now_ns(), so one scrape and one trace share a timeline.
 ///
 /// Instruments are fixed at compile time — the enums in metric_names.hpp are
 /// the registry's schema, and that header is the only sanctioned home of

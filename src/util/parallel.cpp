@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "prof/prof.hpp"
 #include "util/bit_ops.hpp"
 
 namespace spbla::util {
@@ -53,25 +52,6 @@ void parallel_for_chunks(ThreadPool* pool, std::size_t n, std::size_t grain,
     if (pool == nullptr || workers == 1 || n <= chunk) {
         body(0, n);
         return;
-    }
-    // Workers inherit the launcher's innermost span so kernel counters
-    // incremented on the pool aggregate under the op that launched them
-    // (plus pool_steals / pool_busy_ns bookkeeping per stolen chunk).
-    if constexpr (prof::kCompiledLevel >= SPBLA_PROFILE_COUNTERS) {
-        if (prof::counting()) {
-            const prof::SiteId site = prof::current_span_site();
-            if (site != prof::kNoSite) {
-                const std::uint32_t launcher = prof::thread_id();
-                dispatch_chunks(
-                    pool, n, chunk,
-                    [&body, site, launcher](std::size_t begin, std::size_t end) {
-                        const prof::WorkerScope scope(site, launcher);
-                        body(begin, end);
-                    },
-                    schedule);
-                return;
-            }
-        }
     }
     dispatch_chunks(pool, n, chunk, body, schedule);
 }

@@ -230,7 +230,7 @@ TEST_F(ArenaSuite, PerWorkerSubArenasAreIsolated) {
     EXPECT_EQ(pool_ctx.tracker().alloc_count(), pool_ctx.tracker().free_count());
 }
 
-TEST_F(ArenaSuite, NestedOpsReuseTheWorkerScope) {
+TEST_F(ArenaSuite, NestedOpsRewindInsideAWorkerChunkScope) {
     // An op called from inside a chunk body (nested ScopedArena) must rewind
     // to its own mark only — the outer chunk's scratch survives.
     backend::Context pool_ctx{backend::Policy::Parallel, 4};

@@ -21,10 +21,10 @@ auditable (run as the `lint` ctest target; CI runs it on every push):
                     SPBLA_ASSERT / SPBLA_CHECKED so they obey the
                     SPBLA_CHECKS level instead of vanishing under NDEBUG.
   raw-chrono        No direct `std::chrono` (or <chrono> include) in src/
-                    outside util/timer.hpp and src/prof/ — timing goes
-                    through util::Timer and the profiling layer so kernels
-                    never grow ad-hoc clocks the SPBLA_PROFILE=off build
-                    would still pay for.
+                    outside util/timer.hpp — timing goes through
+                    util::Timer, telemetry histograms and prof spans, so
+                    kernels never grow ad-hoc clocks the SPBLA_PROFILE=off
+                    build would still pay for.
   contracts-include Files using SPBLA_* contract macros must include
                     util/contracts.hpp (or core/validate.hpp, which
                     re-exports it).
@@ -407,18 +407,17 @@ class Linter:
     def rule_raw_chrono(self, f: File) -> None:
         if not f.rel.startswith("src/"):
             return
-        if f.rel == "src/util/timer.hpp" or f.rel.startswith("src/prof/"):
+        if f.rel == "src/util/timer.hpp":
             return
         for no, line in enumerate(f.code_lines, start=1):
             if "std::chrono" in line:
                 self.report(f, no, "raw-chrono",
-                            "direct std::chrono — use util::Timer or the "
-                            "spbla::prof span/counter layer")
+                            "direct std::chrono — use util::Timer, a "
+                            "telemetry histogram or an SPBLA_PROF_SPAN")
         for no, line in enumerate(f.raw_lines, start=1):
             if re.search(r"#\s*include\s*<chrono>", line):
                 self.report(f, no, "raw-chrono",
-                            "<chrono> include — use util/timer.hpp or "
-                            "prof/prof.hpp")
+                            "<chrono> include — use util/timer.hpp")
 
     def rule_contracts_include(self, f: File) -> None:
         if f.rel.endswith("util/contracts.hpp"):
