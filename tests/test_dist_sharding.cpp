@@ -23,6 +23,7 @@
 #include "dist/sharded_ops.hpp"     // lint:allow(format-leak)
 #include "spbla/spbla.h"
 #include "storage/dispatch.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace dist = spbla::dist;
 using spbla::Index;
@@ -348,6 +349,29 @@ TEST_F(DistSharding, MultiDeviceChargesTransfers) {
     // Every transferred CSR tile moves at least its offsets array.
     EXPECT_GE(bytes, transfers * sizeof(Index));
     EXPECT_EQ(dist::stats().tiles_processed.load(), 16u + 16u);  // scatter + compute
+}
+
+TEST_F(DistSharding, TelemetryMatchesDistTransferCounters) {
+    namespace telemetry = spbla::telemetry;
+    const Matrix a = random_matrix(30, 30, 0.2, 904);
+    const Matrix b = random_matrix(4, 4, 0.5, 905);
+    dist::DeviceGroup group{3};
+    const dist::ShardedMatrix sa{group, a, uniform(a, {3, 3})};
+    dist::reset_stats();
+    const auto before = telemetry::snapshot();
+    // Kronecker charges its B broadcast outside the per-tile reads, so both
+    // paths must reach telemetry as well as dist::stats().
+    (void)dist::sharded_kronecker(ctx(), sa, b);
+    (void)dist::sharded_multiply(ctx(), sa, sa);
+    const auto after = telemetry::snapshot();
+    const auto delta = [&](telemetry::Counter c) {
+        return after.counter(c) - before.counter(c);
+    };
+    EXPECT_GT(dist::stats().tile_transfers.load(), 0u);
+    EXPECT_EQ(delta(telemetry::Counter::DistTileTransfers),
+              dist::stats().tile_transfers.load());
+    EXPECT_EQ(delta(telemetry::Counter::DistTransferBytes),
+              dist::stats().transfer_bytes.load());
 }
 
 TEST_F(DistSharding, DevicesBalancedAfterCompute) {

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -127,6 +128,14 @@ Matrix cells(Index nrows, Index ncols, std::vector<Coord> coords) {
     return Matrix::from_coords(nrows, ncols, std::move(coords), ctx());
 }
 
+/// One batch cannot save more rounds than the from-scratch build it is
+/// measured against (a rebuild inside the batch may move that baseline).
+void expect_saved_within_baseline(const IncrStats& before, const IncrStats& after) {
+    EXPECT_LE(after.iterations_saved - before.iterations_saved,
+              std::max(before.baseline_rounds, after.baseline_rounds))
+        << "a batch saved more rounds than the scratch baseline";
+}
+
 /// Ground-truth batch application: (truth ⊖ removes) ⊕ adds.
 Matrix fold(const Matrix& truth, const Batch& b) {
     const auto after =
@@ -163,7 +172,9 @@ void run_closure_schedule(const Matrix& start, Mode mode, std::uint64_t seed,
     for (const auto size : batch_sizes) {
         const auto b = make_batch(mode, n, size, truth, rng);
         truth = fold(truth, b);
+        const IncrStats before = inc.stats();
         inc.apply(cells(n, n, b.adds), cells(n, n, b.removes));
+        expect_saved_within_baseline(before, inc.stats());
         ASSERT_EQ(inc.adjacency(), truth)
             << "adjacency diverged (mode " << static_cast<int>(mode) << ", batch "
             << size << ")";
@@ -347,7 +358,9 @@ void run_rpq_schedule(Index n, const std::string& query_text, std::uint64_t seed
         }
         for (const auto& e : removes) truth.erase({e.src, e.label, e.dst});
         for (const auto& e : adds) truth.insert({e.src, e.label, e.dst});
+        const IncrStats before = inc.stats();
         inc.apply(adds, removes);
+        expect_saved_within_baseline(before, inc.stats());
         const auto graph = keys_to_graph(n, truth);
         const auto cg = inc.current_graph();
         std::set<EdgeKey> maintained;
@@ -415,7 +428,9 @@ void run_cfpq_schedule(Index n, const std::string& grammar_text, std::uint64_t s
         }
         for (const auto& e : removes) truth.erase({e.src, e.label, e.dst});
         for (const auto& e : adds) truth.insert({e.src, e.label, e.dst});
+        const IncrStats before = inc.stats();
         inc.apply(adds, removes);
+        expect_saved_within_baseline(before, inc.stats());
         const auto graph = keys_to_graph(n, truth);
         ASSERT_EQ(inc.reachable(), cfpq::azimov_cfpq(ctx(), graph, grammar).reachable())
             << "CFPQ answers diverged from scratch recompute (batch " << size << ")";
